@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from typing import Callable
+from typing import Callable, Generic, Protocol, TypeVar
 
 from .. import sanitizer
 from ..build.batch import compute_document_entries, filter_scope
@@ -72,15 +72,168 @@ from .iterators import ExtentIterator
 from .merge import merge_retrieve
 from .race import race as race_strategies
 from .result import EvaluationStats, ResultSet
-from .ta import DEFAULT_BATCH_SIZE, ta_retrieve
-from .wand import wand_retrieve
+from .ta import DEFAULT_BATCH_SIZE, TaSession, ta_retrieve
+from .wand import WandSession, wand_retrieve
 
-__all__ = ["TrexEngine", "METHODS"]
+__all__ = ["TrexEngine", "QueryPlanner", "METHODS", "MODES", "METHOD_KINDS",
+           "RACE_LEGS", "race_result"]
 
 METHODS = ("era", "ta", "ita", "merge", "wand", "race", "auto")
 
+#: Evaluation semantics (see :meth:`QueryPlanner.evaluate`).
+MODES = ("nexi", "flat")
 
-class TrexEngine:
+#: Index kinds each forced method reads.  ERA reads only the base
+#: tables and ``auto`` picks a method the stored kinds support, so
+#: neither needs anything up front.
+METHOD_KINDS: dict[str, tuple[str, ...]] = {
+    "ta": ("rpl",),
+    "ita": ("rpl",),
+    "merge": ("erpl",),
+    # WAND evaluates the ERPL document-at-a-time; RPL block-max headers
+    # only sharpen its static bounds and are probed opportunistically.
+    "wand": ("erpl",),
+    "race": ("rpl", "erpl"),
+}
+
+#: Paper §4's race: these legs run over one translation and the
+#: cheaper finisher is returned.
+RACE_LEGS = ("ta", "merge")
+
+
+def race_result(ta_result: ResultSet, merge_result: ResultSet,
+                k: int | None) -> ResultSet:
+    """The outcome of a race between a TA leg and a Merge leg."""
+    outcome = race_strategies((ta_result.hits, ta_result.stats),
+                              (merge_result.hits, merge_result.stats))
+    return ResultSet(hits=outcome.hits, stats=outcome.stats, k=k)
+
+
+class _Translation(Protocol):
+    @property
+    def clauses(self) -> tuple[TranslatedClause, ...]: ...
+
+
+TranslationT = TypeVar("TranslationT", bound=_Translation)
+
+
+class QueryPlanner(Generic[TranslationT]):
+    """The per-query decisions every engine kind shares (paper §4).
+
+    Request validation, the ``race`` legs and the ``auto`` rule depend
+    only on the translation and on which segments are stored, so they
+    live here once.  An engine supplies translation, segment probing
+    (:meth:`missing_segments`) and the evaluation of one resolved
+    method (:meth:`_evaluate_method`): :class:`TrexEngine` runs it over
+    its own catalog, the sharded coordinator scatters it over shards.
+    """
+
+    auto_materialize: bool
+
+    def translate(self, query: str | NexiQuery, *,
+                  vague: bool = True) -> TranslationT:
+        raise NotImplementedError
+
+    def missing_segments(self, translated: TranslationT,
+                         kinds: tuple[str, ...] = ("rpl", "erpl"), *,
+                         mode: str = "nexi") -> list[tuple]:
+        raise NotImplementedError
+
+    def _evaluate_method(self, translated: TranslationT, k: int | None,
+                         method: str, mode: str,
+                         require_phrases: bool) -> ResultSet:
+        """Evaluate with a concrete method (never ``race``/``auto``)."""
+        raise NotImplementedError
+
+    def evaluate(self, query: str | NexiQuery, k: int | None = None,
+                 method: str = "auto", *, vague: bool = True,
+                 mode: str = "nexi", require_phrases: bool = False) -> ResultSet:
+        """Evaluate *query*, returning all answers or the top *k*.
+
+        ``method`` is one of :data:`METHODS`.  ``ita`` runs TA but
+        reports the ideal-heap cost; ``race`` runs the :data:`RACE_LEGS`
+        and keeps the cheaper; ``auto`` applies :meth:`choose_method`.
+
+        ``mode`` selects the evaluation semantics:
+
+        * ``'nexi'`` (default) — full NEXI semantics: clauses evaluated
+          separately, descendant votes and ancestor support combined by
+          containment, the last step's boolean predicate enforced.  In
+          this mode multi-clause queries evaluate each clause
+          exhaustively, so TA's top-k early termination only helps
+          single-clause queries.
+        * ``'flat'`` — the paper's §2.2 single-task evaluation: one
+          retrieval over the union of all clause sids and terms, ranked
+          directly.  This is what the paper's experiments time (each
+          query of Table 1 is one sid list + one term list) and what
+          the benchmark harness uses.
+        """
+        translated = self.translate(query, vague=vague)
+        return self.evaluate_translated(translated, k, method, mode=mode,
+                                        require_phrases=require_phrases)
+
+    def evaluate_translated(self, translated: TranslationT,
+                            k: int | None = None, method: str = "auto", *,
+                            mode: str = "nexi",
+                            require_phrases: bool = False) -> ResultSet:
+        """Evaluate an already-translated query (see :meth:`evaluate`).
+
+        Splitting translation from retrieval lets callers translate once
+        and run several strategies over the same translation — the race
+        legs do exactly that, and the serving layer uses it to run them
+        on two executor workers.
+        """
+        if method not in METHODS:
+            raise RetrievalError(f"unknown method {method!r}; choose from {METHODS}")
+        if mode not in MODES:
+            raise RetrievalError(f"unknown mode {mode!r}; choose 'nexi' or 'flat'")
+        if k is not None and k < 1:
+            raise RetrievalError(f"k must be at least 1 or None, got {k}")
+        if method == "race":
+            ta_result, merge_result = [
+                self.evaluate_translated(translated, k, leg, mode=mode,
+                                         require_phrases=require_phrases)
+                for leg in RACE_LEGS]
+            return race_result(ta_result, merge_result, k)
+        if method == "auto":
+            method = self.choose_method(translated, k, mode=mode)
+        return self._evaluate_method(translated, k, method, mode,
+                                     require_phrases)
+
+    def choose_method(self, translated: TranslationT, k: int | None, *,
+                      mode: str = "nexi") -> str:
+        """The ``auto`` rule: the cheapest method the stored segments
+        support, by the cheap signals of the paper's §4 strategy map.
+
+        Availability is probed for the segments *mode* actually reads
+        (one per term over the union of sids in flat mode), so the
+        chosen method always runs.  With ``auto_materialize`` on every
+        method can build what it lacks, and nothing is probed.
+        """
+        if self.auto_materialize:
+            have_rpl = have_erpl = True
+        else:
+            have_rpl = not self.missing_segments(translated, ("rpl",),
+                                                 mode=mode)
+            have_erpl = not self.missing_segments(translated, ("erpl",),
+                                                  mode=mode)
+        if k is not None and k <= 10 and have_rpl:
+            return "ta"
+        distinct_terms = {term for clause in translated.clauses
+                          for term in clause.terms}
+        if k is not None and k > 10 and len(distinct_terms) >= 2 and have_erpl:
+            # Many moderately-selective terms at a large finite k: the
+            # DAAT pivot skips what Merge would stream and what TA
+            # would heap — WAND's sweet spot.
+            return "wand"
+        if have_erpl:
+            return "merge"
+        if have_rpl:
+            return "ta"
+        return "era"
+
+
+class TrexEngine(QueryPlanner[TranslatedQuery]):
     """A fully materialized TReX instance over one collection."""
 
     def __init__(self, collection: Collection,
@@ -293,70 +446,15 @@ class TrexEngine:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, query: str | NexiQuery, k: int | None = None,
-                 method: str = "auto", *, vague: bool = True,
-                 mode: str = "nexi", require_phrases: bool = False) -> ResultSet:
-        """Evaluate *query*, returning all answers or the top *k*.
-
-        ``method`` is one of ``era``, ``ta``, ``ita``, ``merge`` or
-        ``auto``.  ``ita`` runs TA but reports the ideal-heap cost.
-
-        ``mode`` selects the evaluation semantics:
-
-        * ``'nexi'`` (default) — full NEXI semantics: clauses evaluated
-          separately, descendant votes and ancestor support combined by
-          containment, the last step's boolean predicate enforced.  In
-          this mode multi-clause queries evaluate each clause
-          exhaustively, so TA's top-k early termination only helps
-          single-clause queries.
-        * ``'flat'`` — the paper's §2.2 single-task evaluation: one
-          retrieval over the union of all clause sids and terms, ranked
-          directly.  This is what the paper's experiments time (each
-          query of Table 1 is one sid list + one term list) and what
-          the benchmark harness uses.
-        """
-        translated = self.translate(query, vague=vague)
-        return self.evaluate_translated(translated, k, method, mode=mode,
-                                        require_phrases=require_phrases)
-
-    def evaluate_translated(self, translated: TranslatedQuery,
-                            k: int | None = None, method: str = "auto", *,
-                            mode: str = "nexi",
-                            require_phrases: bool = False) -> ResultSet:
-        """Evaluate an already-translated query (see :meth:`evaluate`).
-
-        Splitting translation from retrieval lets callers translate once
-        and run several strategies over the same translation — the race
-        path below does exactly that, and the serving layer uses it to
-        run a race's TA and Merge legs on two executor workers.
-        """
-        if method not in METHODS:
-            raise RetrievalError(f"unknown method {method!r}; choose from {METHODS}")
-        if mode not in ("nexi", "flat"):
-            raise RetrievalError(f"unknown mode {mode!r}; choose 'nexi' or 'flat'")
-        if k is not None and k < 1:
-            raise RetrievalError(f"k must be at least 1 or None, got {k}")
-        if method == "race":
-            # Paper §4: run TA and Merge in parallel, return the first
-            # finisher.  Requires both index kinds to be available.
-            # The shared translation is reused by both legs.
-            ta_result = self.evaluate_translated(
-                translated, k, "ta", mode=mode, require_phrases=require_phrases)
-            merge_result = self.evaluate_translated(
-                translated, k, "merge", mode=mode,
-                require_phrases=require_phrases)
-            outcome = race_strategies((ta_result.hits, ta_result.stats),
-                                      (merge_result.hits, merge_result.stats))
-            return ResultSet(hits=outcome.hits, stats=outcome.stats, k=k)
-        if method == "auto":
-            method = self.choose_method(translated, k)
-
+    def _evaluate_method(self, translated: TranslatedQuery, k: int | None,
+                         method: str, mode: str,
+                         require_phrases: bool) -> ResultSet:
         if mode == "flat":
             return self._evaluate_flat(translated, method, k)
 
         total = EvaluationStats(method=method)
         # With several clauses, each must be evaluated exhaustively for
-        # the combination step to be exact (see docstring).
+        # the combination step to be exact (see :meth:`evaluate`).
         clause_k = k if len(translated.clauses) == 1 else None
         clause_hits: list[list[ScoredHit]] = []
         for clause in translated.clauses:
@@ -443,10 +541,9 @@ class TrexEngine:
                                 self.scorer, self.cost_model, weights)
         if method in ("ta", "ita"):
             segments = self.segments_for(clause, "rpl")
-            effective_k = k if k is not None else max(
-                1, sum(s.entry_count for s in segments.values()))
             hits, stats = ta_retrieve(self.catalog, segments, clause.sids,
-                                      effective_k, self.cost_model, weights,
+                                      _effective_k(k, segments),
+                                      self.cost_model, weights,
                                       batch_size=self.ta_batch_size)
             if method == "ita":
                 stats.method = "ita"
@@ -457,12 +554,28 @@ class TrexEngine:
                                   self.cost_model, weights)
         if method == "wand":
             segments = self.segments_for(clause, "erpl")
-            effective_k = k if k is not None else max(
-                1, sum(s.entry_count for s in segments.values()))
             return wand_retrieve(self.catalog, segments, clause.sids,
-                                 effective_k, self.cost_model, weights,
-                                 bound_segments=self.bound_segments_for(clause))
+                                 _effective_k(k, segments), self.cost_model,
+                                 weights,
+                                 bound_segments=self.bound_segments_for(clause),
+                                 batch_size=self.ta_batch_size)
         raise RetrievalError(f"unknown method {method!r}")
+
+    def open_session(self, method: str, clause: TranslatedClause,
+                     k: int) -> TaSession | WandSession:
+        """A resumable top-*k* session over this engine's catalog: WAND
+        over the ERPLs (resident RPL headers as static bounds) for
+        ``wand``, TA over the RPLs otherwise.  The sharded coordinator
+        drives one per shard, batch by batch."""
+        weights = dict(clause.term_weights)
+        if method == "wand":
+            return WandSession(self.catalog, self.segments_for(clause, "erpl"),
+                               clause.sids, k, self.cost_model, weights,
+                               bound_segments=self.bound_segments_for(clause),
+                               batch_size=self.ta_batch_size)
+        return TaSession(self.catalog, self.segments_for(clause, "rpl"),
+                         clause.sids, k, self.cost_model, weights,
+                         batch_size=self.ta_batch_size)
 
     def segments_for(self, clause: TranslatedClause,
                      kind: str) -> dict[str, IndexSegment]:
@@ -644,32 +757,8 @@ class TrexEngine:
         return result
 
     # ------------------------------------------------------------------
-    # Strategy selection (simple heuristic; the advisor refines this)
+    # Segment availability (the ``auto`` rule lives on QueryPlanner)
     # ------------------------------------------------------------------
-    def choose_method(self, translated: TranslatedQuery, k: int | None) -> str:
-        have_rpl = all(
-            self.catalog.find_segment("rpl", term, clause.sids) is not None
-            for clause in translated.clauses for term in clause.terms)
-        have_erpl = all(
-            self.catalog.find_segment("erpl", term, clause.sids) is not None
-            for clause in translated.clauses for term in clause.terms)
-        if self.auto_materialize:
-            have_rpl = have_erpl = True
-        if k is not None and k <= 10 and have_rpl:
-            return "ta"
-        distinct_terms = {term for clause in translated.clauses
-                          for term in clause.terms}
-        if k is not None and k > 10 and len(distinct_terms) >= 2 and have_erpl:
-            # Many moderately-selective terms at a large finite k: the
-            # DAAT pivot skips what Merge would stream and what TA
-            # would heap — WAND's sweet spot.
-            return "wand"
-        if have_erpl:
-            return "merge"
-        if have_rpl:
-            return "ta"
-        return "era"
-
     def missing_segments(self, translated: TranslatedQuery,
                          kinds: tuple[str, ...] = ("rpl", "erpl"), *,
                          mode: str = "nexi") -> list[tuple[str, str, frozenset[int]]]:
@@ -955,6 +1044,12 @@ class TrexEngine:
             "segments": self.catalog.describe(),
             "storage": self.catalog.storage_snapshot(),
         }
+
+
+def _effective_k(k: int | None, segments: dict[str, IndexSegment]) -> int:
+    """*k*, or every stored entry when all answers are wanted."""
+    return k if k is not None else max(
+        1, sum(segment.entry_count for segment in segments.values()))
 
 
 def _about_indices_for_step(clauses: list[TranslatedClause], step: int) -> dict[int, int]:

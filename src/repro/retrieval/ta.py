@@ -43,8 +43,10 @@ from .result import EvaluationStats
 
 __all__ = ["TaSession", "ta_retrieve", "DEFAULT_BATCH_SIZE"]
 
-#: Sorted accesses between evaluations of the stopping condition
-#: (TopX-style batching; checking every row would itself dominate).
+#: Work per ``step()`` of a resumable session: TA's sorted accesses
+#: between evaluations of the stopping condition (TopX-style batching;
+#: checking every row would itself dominate), and WAND's pivot rounds
+#: between coordinator control points.
 DEFAULT_BATCH_SIZE = 32
 
 

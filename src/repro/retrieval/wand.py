@@ -46,12 +46,9 @@ from ..storage.cost import CostModel
 from .heap import TopKHeap
 from .iterators import Position, _ErplSidStream
 from .result import EvaluationStats
+from .ta import DEFAULT_BATCH_SIZE
 
-__all__ = ["WandTermIterator", "WandSession", "wand_retrieve",
-           "DEFAULT_PIVOT_BATCH"]
-
-#: Pivot rounds between coordinator control points (``step()`` granularity).
-DEFAULT_PIVOT_BATCH = 32
+__all__ = ["WandTermIterator", "WandSession", "wand_retrieve"]
 
 
 class WandTermIterator:
@@ -199,7 +196,7 @@ class WandSession:
                  cost_model: CostModel,
                  term_weights: dict[str, float] | None = None,
                  bound_segments: dict[str, IndexSegment | None] | None = None,
-                 batch_size: int = DEFAULT_PIVOT_BATCH) -> None:
+                 batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         if k < 1:
             raise ValueError("WAND requires k >= 1")
         self.k = k
@@ -407,7 +404,7 @@ def wand_retrieve(catalog: IndexCatalog,
                   cost_model: CostModel,
                   term_weights: dict[str, float] | None = None,
                   bound_segments: dict[str, IndexSegment | None] | None = None,
-                  batch_size: int = DEFAULT_PIVOT_BATCH,
+                  batch_size: int = DEFAULT_BATCH_SIZE,
                   ) -> tuple[list[ScoredHit], EvaluationStats]:
     """Run Block-Max-WAND for the top-*k* elements.
 

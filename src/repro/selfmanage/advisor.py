@@ -10,6 +10,7 @@ actually-achieved weighted evaluation cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Generic, TypeVar
 
 from ..backend import COMPRESSIONS, PROFILES
 from ..errors import OptimizationError
@@ -19,9 +20,12 @@ from .greedy import GreedyIndexSelector
 from .ilp import IlpIndexSelector
 from .measure import QueryCosts, measure_workload
 from .selection import SelectionPlan
-from .workload import Workload
+from .workload import Workload, WorkloadQuery
 
-__all__ = ["IndexAdvisor", "AppliedPlan"]
+__all__ = ["IndexAdvisorBase", "IndexAdvisor", "AppliedPlan"]
+
+EngineT = TypeVar("EngineT")
+AppliedT = TypeVar("AppliedT")
 
 
 @dataclass
@@ -40,24 +44,40 @@ class AppliedPlan:
         return sum(segment.size_bytes for segment in self.segments)
 
 
-class IndexAdvisor:
-    """Self-manages redundant top-k indexes for a query workload."""
+class IndexAdvisorBase(Generic[EngineT, AppliedT]):
+    """Measure → select → apply, independent of the engine kind.
+
+    A subclass says how a workload is measured (:meth:`_measure`), under
+    which cost keys each query is priced (:meth:`_cost_keys`) and how a
+    plan is stored (:meth:`apply`); selection and the cost predictions
+    are shared.
+    """
 
     _SELECTORS = {
         "greedy": GreedyIndexSelector,
         "ilp": IlpIndexSelector,
     }
 
-    def __init__(self, engine: TrexEngine) -> None:
+    def __init__(self, engine: EngineT) -> None:
         self.engine = engine
         self._costs_cache: dict[int, dict[str, QueryCosts]] = {}
 
     # ------------------------------------------------------------------
+    def _measure(self, workload: Workload) -> dict[str, QueryCosts]:
+        raise NotImplementedError
+
+    def _cost_keys(self, workload: Workload) -> list[tuple[WorkloadQuery, str]]:
+        """``(query, cost key)`` pairs the workload's cost sums run over."""
+        return [(query, query.query_id) for query in workload]
+
+    def apply(self, workload: Workload, plan: SelectionPlan) -> AppliedT:
+        raise NotImplementedError
+
     def measure(self, workload: Workload) -> dict[str, QueryCosts]:
         """Measure (and cache) per-query costs for *workload*."""
         key = id(workload)
         if key not in self._costs_cache:
-            self._costs_cache[key] = measure_workload(self.engine, workload)
+            self._costs_cache[key] = self._measure(workload)
         return self._costs_cache[key]
 
     def invalidate_measurements(self) -> None:
@@ -67,7 +87,7 @@ class IndexAdvisor:
 
     def autotune(self, workload: Workload, disk_budget: int,
                  method: str = "greedy", *,
-                 compression: bool = False) -> "AppliedPlan":
+                 compression: bool = False) -> AppliedT:
         """The full §4 cycle in one call: re-measure, select under the
         budget, and materialize the chosen segments."""
         self.invalidate_measurements()
@@ -93,6 +113,41 @@ class IndexAdvisor:
         costs = self.measure(workload)
         return selector_cls().select(costs, disk_budget,
                                      compression=compression)
+
+    def expected_cost(self, workload: Workload, plan: SelectionPlan) -> float:
+        """Predicted weighted evaluation cost under *plan* (from measures)."""
+        costs = self.measure(workload)
+        total = 0.0
+        for query, key in self._cost_keys(workload):
+            cost = costs[key]
+            choice = plan.choice_for(key)
+            if choice is None:
+                total += query.frequency * cost.t_era
+            elif choice.kind == "erpl":
+                # An ERPL choice is served by the cheaper of Merge and
+                # WAND (see IndexAdvisor.apply).
+                total += query.frequency * (
+                    min(cost.t_merge_zlib, cost.t_wand_zlib)
+                    if choice.compression == "zlib"
+                    else min(cost.t_merge, cost.t_wand))
+            else:
+                total += query.frequency * (
+                    cost.t_ta_zlib if choice.compression == "zlib"
+                    else cost.t_ta)
+        return total
+
+    def baseline_cost(self, workload: Workload) -> float:
+        """Weighted cost of answering everything with ERA (no indexes)."""
+        costs = self.measure(workload)
+        return sum(query.frequency * costs[key].t_era
+                   for query, key in self._cost_keys(workload))
+
+
+class IndexAdvisor(IndexAdvisorBase[TrexEngine, AppliedPlan]):
+    """Self-manages redundant top-k indexes for a query workload."""
+
+    def _measure(self, workload: Workload) -> dict[str, QueryCosts]:
+        return measure_workload(self.engine, workload)
 
     def apply(self, workload: Workload, plan: SelectionPlan) -> AppliedPlan:
         """Materialize the plan's query-scoped segments on the engine.
@@ -130,28 +185,6 @@ class IndexAdvisor:
         return AppliedPlan(plan=plan, segments=segments, methods=methods)
 
     # ------------------------------------------------------------------
-    def expected_cost(self, workload: Workload, plan: SelectionPlan) -> float:
-        """Predicted weighted evaluation cost under *plan* (from measures)."""
-        costs = self.measure(workload)
-        total = 0.0
-        for query in workload:
-            cost = costs[query.query_id]
-            choice = plan.choice_for(query.query_id)
-            if choice is None:
-                total += query.frequency * cost.t_era
-            elif choice.kind == "erpl":
-                # Mirror apply(): an ERPL choice is served by the
-                # cheaper of Merge and WAND.
-                total += query.frequency * (
-                    min(cost.t_merge_zlib, cost.t_wand_zlib)
-                    if choice.compression == "zlib"
-                    else min(cost.t_merge, cost.t_wand))
-            else:
-                total += query.frequency * (
-                    cost.t_ta_zlib if choice.compression == "zlib"
-                    else cost.t_ta)
-        return total
-
     def achieved_cost(self, workload: Workload, applied: AppliedPlan) -> float:
         """Actually evaluate the workload with the applied plan's methods."""
         previous = self.engine.auto_materialize
@@ -166,11 +199,6 @@ class IndexAdvisor:
             return total
         finally:
             self.engine.auto_materialize = previous
-
-    def baseline_cost(self, workload: Workload) -> float:
-        """Weighted cost of answering everything with ERA (no indexes)."""
-        costs = self.measure(workload)
-        return sum(q.frequency * costs[q.query_id].t_era for q in workload)
 
     # ------------------------------------------------------------------
     def backend_report(self, workload: Workload) -> dict[str, dict[str, dict[str, float]]]:

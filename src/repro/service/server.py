@@ -45,8 +45,13 @@ from ..errors import (
     TrexError,
 )
 from ..nexi.translate import TranslatedQuery
-from ..retrieval.engine import METHODS, TrexEngine
-from ..retrieval.race import race as race_strategies
+from ..retrieval.engine import (
+    METHOD_KINDS,
+    METHODS,
+    RACE_LEGS,
+    TrexEngine,
+    race_result,
+)
 from ..retrieval.result import ResultSet
 from ..shard.engine import ShardedEngine
 from .autopilot import Autopilot, WorkloadRecorder
@@ -57,18 +62,6 @@ from .telemetry import Telemetry
 
 __all__ = ["ServiceConfig", "QueryService", "TrexHTTPHandler", "make_server",
            "install_shutdown_handlers", "serve_until_shutdown"]
-
-#: Index kinds each forced method needs before it can run read-only.
-_METHOD_KINDS = {
-    "ta": ("rpl",),
-    "ita": ("rpl",),
-    "merge": ("erpl",),
-    # WAND evaluates the ERPL document-at-a-time; RPL block-max headers
-    # only sharpen its static bounds and are probed opportunistically.
-    "wand": ("erpl",),
-    "race": ("rpl", "erpl"),
-}
-
 
 @dataclass
 class ServiceConfig:
@@ -230,7 +223,7 @@ class QueryService:
         started = time.perf_counter()
         engine = self.engine
         worker_model = self.worker_costs.current()
-        kinds = _METHOD_KINDS.get(method)
+        kinds = METHOD_KINDS.get(method)
         with engine.cost_model.scoped(worker_model):
             for attempt in range(3):
                 with self.lock.read():
@@ -343,7 +336,7 @@ class QueryService:
                                                       leg_method, mode=mode)
             return run
 
-        ta_leg, merge_leg = leg("ta"), leg("merge")
+        ta_leg, merge_leg = (leg(name) for name in RACE_LEGS)
         try:
             future = self.executor.submit(merge_leg)
         except ServiceError:
@@ -357,9 +350,7 @@ class QueryService:
         else:
             self.telemetry.incr("race.parallel_legs")
             merge_result = future.result()
-        outcome = race_strategies((ta_result.hits, ta_result.stats),
-                                  (merge_result.hits, merge_result.stats))
-        return ResultSet(hits=outcome.hits, stats=outcome.stats, k=k)
+        return race_result(ta_result, merge_result, k)
 
     def _payload(self, query: str, k: int | None, method: str, mode: str,
                  result: ResultSet, epoch: Any) -> dict:

@@ -25,11 +25,10 @@ from dataclasses import dataclass, field, replace
 
 from ..errors import OptimizationError
 from ..index.catalog import IndexSegment
-from ..selfmanage.greedy import GreedyIndexSelector
-from ..selfmanage.ilp import IlpIndexSelector
+from ..selfmanage.advisor import IndexAdvisorBase
 from ..selfmanage.measure import QueryCosts, measure_workload
 from ..selfmanage.selection import SelectionPlan
-from ..selfmanage.workload import Workload
+from ..selfmanage.workload import Workload, WorkloadQuery
 from .engine import ShardedEngine
 
 __all__ = ["ShardedIndexAdvisor", "ShardedAppliedPlan",
@@ -73,50 +72,35 @@ class ShardedAppliedPlan:
         return lines
 
 
-class ShardedIndexAdvisor:
-    """Splits one disk budget across shards by measured workload gain."""
+class ShardedIndexAdvisor(
+        IndexAdvisorBase[ShardedEngine, ShardedAppliedPlan]):
+    """Splits one disk budget across shards by measured workload gain.
 
-    _SELECTORS = {
-        "greedy": GreedyIndexSelector,
-        "ilp": IlpIndexSelector,
-    }
+    Selection and the cost predictions are the monolithic advisor's;
+    only measurement (per shard, ``s{shard}:`` tagged) and :meth:`apply`
+    (on the owning shard) are sharded.  The scatter-gather evaluation
+    touches every shard, so a query's predicted cost is the sum of its
+    per-shard costs.
+    """
 
-    def __init__(self, engine: ShardedEngine) -> None:
-        self.engine = engine
-        self._costs_cache: dict[int, dict[str, QueryCosts]] = {}
-
-    # ------------------------------------------------------------------
-    def measure(self, workload: Workload) -> dict[str, QueryCosts]:
+    def _measure(self, workload: Workload) -> dict[str, QueryCosts]:
         """Per-(shard, query) costs, keyed ``s{shard}:{query_id}``.
 
         Queries whose translation is empty on a shard still measure
         (at near-zero cost on every method) and simply yield no
         positive-gain options there.
         """
-        key = id(workload)
-        if key not in self._costs_cache:
-            combined: dict[str, QueryCosts] = {}
-            for shard in self.engine.shards:
-                local = measure_workload(shard.engine, workload)
-                for query_id, costs in local.items():
-                    tagged = _shard_query_id(shard.index, query_id)
-                    combined[tagged] = replace(costs, query_id=tagged)
-            self._costs_cache[key] = combined
-        return self._costs_cache[key]
+        combined: dict[str, QueryCosts] = {}
+        for shard in self.engine.shards:
+            local = measure_workload(shard.engine, workload)
+            for query_id, costs in local.items():
+                tagged = _shard_query_id(shard.index, query_id)
+                combined[tagged] = replace(costs, query_id=tagged)
+        return combined
 
-    def invalidate_measurements(self) -> None:
-        self._costs_cache.clear()
-
-    def recommend(self, workload: Workload, disk_budget: int,
-                  method: str = "greedy") -> SelectionPlan:
-        """Global knapsack over every shard's per-query options."""
-        selector_cls = self._SELECTORS.get(method)
-        if selector_cls is None:
-            raise OptimizationError(
-                f"unknown selection method {method!r}; choose from "
-                f"{sorted(self._SELECTORS)}")
-        costs = self.measure(workload)
-        return selector_cls().select(costs, disk_budget)
+    def _cost_keys(self, workload: Workload) -> list[tuple[WorkloadQuery, str]]:
+        return [(query, _shard_query_id(shard.index, query.query_id))
+                for shard in self.engine.shards for query in workload]
 
     def apply(self, workload: Workload,
               plan: SelectionPlan) -> ShardedAppliedPlan:
@@ -128,53 +112,15 @@ class ShardedIndexAdvisor:
             query = workload.query(query_id)
             translated = shard_engine.translate(query.nexi)
             segments = applied.segments.setdefault(shard_index, [])
+            materialize = (shard_engine.materialize_erpl
+                           if choice.kind == "erpl"
+                           else shard_engine.materialize_rpl)
             for clause in translated.clauses:
                 for term in clause.terms:
-                    if choice.kind == "erpl":
-                        segments.append(
-                            shard_engine.materialize_erpl(term, clause.sids))
-                    else:
-                        segments.append(
-                            shard_engine.materialize_rpl(term, clause.sids))
+                    segments.append(materialize(
+                        term, clause.sids, compression=choice.compression))
         # Budget split reports the *actual* bytes stored per shard.
         for shard_index, segments in applied.segments.items():
             applied.budget_split[shard_index] = sum(
                 segment.size_bytes for segment in segments)
         return applied
-
-    def autotune(self, workload: Workload, disk_budget: int,
-                 method: str = "greedy") -> ShardedAppliedPlan:
-        """Re-measure, select under the budget, and materialize."""
-        self.invalidate_measurements()
-        plan = self.recommend(workload, disk_budget, method=method)
-        return self.apply(workload, plan)
-
-    # ------------------------------------------------------------------
-    def expected_cost(self, workload: Workload, plan: SelectionPlan) -> float:
-        """Predicted weighted cost: per shard, the chosen method's
-        measured cost (ERA where nothing is stored), summed — the
-        scatter-gather evaluation touches every shard."""
-        costs = self.measure(workload)
-        total = 0.0
-        for shard in self.engine.shards:
-            for query in workload:
-                cost = costs[_shard_query_id(shard.index, query.query_id)]
-                choice = plan.choice_for(
-                    _shard_query_id(shard.index, query.query_id))
-                if choice is None:
-                    total += query.frequency * cost.t_era
-                elif choice.kind == "erpl":
-                    # An ERPL serves the cheaper of Merge and WAND,
-                    # matching IndexAdvisor.apply's per-query routing.
-                    total += query.frequency * min(cost.t_merge, cost.t_wand)
-                else:
-                    total += query.frequency * cost.t_ta
-        return total
-
-    def baseline_cost(self, workload: Workload) -> float:
-        """Weighted cost of answering everything with ERA on all shards."""
-        costs = self.measure(workload)
-        return sum(query.frequency
-                   * costs[_shard_query_id(shard.index, query.query_id)].t_era
-                   for shard in self.engine.shards
-                   for query in workload)

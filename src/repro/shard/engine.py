@@ -40,19 +40,13 @@ from ..corpus.collection import Collection
 from ..corpus.document import Document
 from ..corpus.tokenizer import Tokenizer
 from ..corpus.xmlparser import XMLParser
-from ..errors import (
-    ReplicaFaultError,
-    ReplicaQuorumError,
-    RetrievalError,
-    ShardTimeoutError,
-)
+from ..errors import ReplicaFaultError, ReplicaQuorumError, ShardTimeoutError
 from ..build.executor import BuildReport
 from ..nexi.ast import NexiQuery
 from ..nexi.parser import parse_nexi
 from ..nexi.translate import TranslatedClause, TranslatedQuery
 from ..replica.group import ReplicaGroup, ReplicaLease
-from ..retrieval.engine import METHODS, TrexEngine
-from ..retrieval.race import race as race_strategies
+from ..retrieval.engine import QueryPlanner, TrexEngine
 from ..retrieval.result import EvaluationStats, ResultSet
 from ..retrieval.ta import DEFAULT_BATCH_SIZE, TaSession
 from ..retrieval.wand import WandSession
@@ -103,6 +97,10 @@ class ShardedTranslation:
     def query(self) -> NexiQuery:
         return self.source.query
 
+    @property
+    def clauses(self) -> tuple[TranslatedClause, ...]:
+        return self.source.clauses
+
 
 @dataclass
 class _ShardRun:
@@ -137,16 +135,18 @@ class _ShardRun:
         self.elapsed += seconds
 
 
-class ShardedEngine:
+class ShardedEngine(QueryPlanner[ShardedTranslation]):
     """Coordinator over N shard-local :class:`TrexEngine` instances.
 
     Implements the same evaluation surface the serving layer consumes
     (``translate`` / ``evaluate_translated`` / ``missing_segments`` /
     ``warm_segments`` / ``add_document`` / ``epoch``), so a
     :class:`~repro.service.server.QueryService` can hold either engine
-    kind.  ``epoch`` is a *tuple* of per-shard epochs: ingesting into
-    one shard changes only that component, which is exactly what the
-    result cache needs to invalidate per shard.
+    kind.  Validation, the ``race`` legs and the ``auto`` rule come
+    from :class:`~repro.retrieval.engine.QueryPlanner`; the coordinator
+    adds only scatter-gather.  ``epoch`` is a *tuple* of per-shard
+    epochs: ingesting into one shard changes only that component, which
+    is exactly what the result cache needs to invalidate per shard.
     """
 
     def __init__(self, collection: Collection, num_shards: int, *,
@@ -175,7 +175,6 @@ class ShardedEngine:
         self.partitioner = make_partitioner(policy, num_shards, collection)
         self.shard_deadline = shard_deadline
         self.fail_soft = fail_soft
-        self.ta_batch_size = ta_batch_size
         self.block_size = block_size
         self.backend = backend
         self.compression = compression
@@ -324,37 +323,9 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, query: str | NexiQuery, k: int | None = None,
-                 method: str = "auto", *, vague: bool = True,
-                 mode: str = "nexi", require_phrases: bool = False) -> ResultSet:
-        translated = self.translate(query, vague=vague)
-        return self.evaluate_translated(translated, k, method, mode=mode,
-                                        require_phrases=require_phrases)
-
-    def evaluate_translated(self, translated: ShardedTranslation,
-                            k: int | None = None, method: str = "auto", *,
-                            mode: str = "nexi",
-                            require_phrases: bool = False) -> ResultSet:
-        if method not in METHODS:
-            raise RetrievalError(
-                f"unknown method {method!r}; choose from {METHODS}")
-        if mode not in ("nexi", "flat"):
-            raise RetrievalError(
-                f"unknown mode {mode!r}; choose 'nexi' or 'flat'")
-        if k is not None and k < 1:
-            raise RetrievalError(f"k must be at least 1 or None, got {k}")
-        if method == "race":
-            ta_result = self.evaluate_translated(
-                translated, k, "ta", mode=mode,
-                require_phrases=require_phrases)
-            merge_result = self.evaluate_translated(
-                translated, k, "merge", mode=mode,
-                require_phrases=require_phrases)
-            outcome = race_strategies((ta_result.hits, ta_result.stats),
-                                      (merge_result.hits, merge_result.stats))
-            return ResultSet(hits=outcome.hits, stats=outcome.stats, k=k)
-        if method == "auto":
-            method = self.choose_method(translated, k)
+    def _evaluate_method(self, translated: ShardedTranslation,
+                         k: int | None, method: str, mode: str,
+                         require_phrases: bool) -> ResultSet:
         if (method in ("ta", "ita", "wand") and k is not None
                 and mode == "flat"):
             return self._scatter_gather_ta(translated, k, method)
@@ -419,43 +390,20 @@ class ShardedEngine:
         return ResultSet(hits=hits, stats=total, k=k)
 
     # -- distributed TA / WAND (flat mode, finite k) --------------------
-    def _ta_session(self, engine: TrexEngine, clause: TranslatedClause,
-                    k: int) -> TaSession:
-        """One resumable TA session over *engine*'s RPL catalog."""
-        segments = engine.segments_for(clause, "rpl")
-        return TaSession(engine.catalog, segments, clause.sids, k,
-                         self.cost_model, dict(clause.term_weights),
-                         batch_size=self.ta_batch_size)
-
-    def _wand_session(self, engine: TrexEngine, clause: TranslatedClause,
-                      k: int) -> WandSession:
-        """One resumable WAND session over *engine*'s ERPL catalog,
-        with resident RPL block-max headers as static bounds."""
-        segments = engine.segments_for(clause, "erpl")
-        return WandSession(engine.catalog, segments, clause.sids, k,
-                           self.cost_model, dict(clause.term_weights),
-                           bound_segments=engine.bound_segments_for(clause),
-                           batch_size=self.ta_batch_size)
-
-    def _session_for(self, method: str, engine: TrexEngine,
-                     clause: TranslatedClause,
-                     k: int) -> TaSession | WandSession:
-        if method == "wand":
-            return self._wand_session(engine, clause, k)
-        return self._ta_session(engine, clause, k)
-
-    def _start_ta_run(self, shard: Shard, clause: TranslatedClause, k: int,
-                      method: str,
-                      on_event: Callable[[str], None]) -> _ShardRun:
-        """Lease a replica and open its session, failing over on a
-        dead lease before the first sorted access."""
-        excluded: set[int] = set()
+    def _lease_session(self, shard: Shard, excluded: set[int],
+                       method: str, clause: TranslatedClause, k: int,
+                       on_event: Callable[[str], None]
+                       ) -> tuple[ReplicaLease, TaSession | WandSession]:
+        """Lease a replica of *shard* outside *excluded* and open its
+        session, failing over (and growing *excluded*) past replicas
+        whose lease is dead.  Raises :class:`ReplicaQuorumError` once
+        no replica is admissible."""
         while True:
             lease = shard.group.lease(exclude=frozenset(excluded),
                                       on_event=on_event)
             try:
                 lease.check()
-                session = self._session_for(method, lease.engine, clause, k)
+                session = lease.engine.open_session(method, clause, k)
             except ReplicaFaultError:
                 lease.fail()
                 excluded.add(lease.replica.index)
@@ -465,8 +413,7 @@ class ShardedEngine:
             except BaseException:
                 lease.release()
                 raise
-            return _ShardRun(shard=shard, session=session, lease=lease,
-                             clause=clause, method=method, excluded=excluded)
+            return lease, session
 
     def _ta_failover(self, run: _ShardRun, k: int,
                      on_event: Callable[[str], None]) -> bool:
@@ -481,31 +428,15 @@ class ShardedEngine:
         run.lease.fail()
         run.excluded.add(run.lease.replica.index)
         run.shard.group.note_failover(on_event)
-        while True:
-            try:
-                lease = run.shard.group.lease(
-                    exclude=frozenset(run.excluded), on_event=on_event)
-            except ReplicaQuorumError as error:
-                self._note_quorum_loss(run.shard, error)
-                run.failed = True
-                run.session.prune()
-                return False
-            try:
-                lease.check()
-                session = self._session_for(run.method, lease.engine,
-                                            run.clause, k)
-            except ReplicaFaultError:
-                lease.fail()
-                run.excluded.add(lease.replica.index)
-                run.shard.group.note_failover(on_event)
-                continue
-            # repro: allow[TRX501] lease boundary releases then re-raises
-            except BaseException:
-                lease.release()
-                raise
-            run.lease = lease
-            run.session = session
-            return True
+        try:
+            run.lease, run.session = self._lease_session(
+                run.shard, run.excluded, run.method, run.clause, k, on_event)
+        except ReplicaQuorumError as error:
+            self._note_quorum_loss(run.shard, error)
+            run.failed = True
+            run.session.prune()
+            return False
+        return True
 
     def _scatter_gather_ta(self, translated: ShardedTranslation, k: int,
                            method: str) -> ResultSet:
@@ -521,8 +452,10 @@ class ShardedEngine:
                                                   elapsed=0.0,
                                                   entries_decoded=0))
                 continue
+            excluded: set[int] = set()
             try:
-                run = self._start_ta_run(shard, clause, k, method, on_event)
+                lease, session = self._lease_session(shard, excluded, method,
+                                                     clause, k, on_event)
             except ReplicaQuorumError as error:
                 self._note_quorum_loss(shard, error)
                 empty_rows.append(self._shard_row(shard, cost=0.0, hits=0,
@@ -530,7 +463,9 @@ class ShardedEngine:
                                                   entries_decoded=0,
                                                   failed=True))
                 continue
-            runs.append(run)
+            runs.append(_ShardRun(shard=shard, session=session, lease=lease,
+                                  clause=clause, method=method,
+                                  excluded=excluded))
             with self._counter_lock:
                 shard.probes += 1
 
@@ -694,31 +629,8 @@ class ShardedEngine:
         return row
 
     # ------------------------------------------------------------------
-    # Strategy selection and serving-layer surface
+    # Serving-layer surface
     # ------------------------------------------------------------------
-    def choose_method(self, translated: ShardedTranslation,
-                      k: int | None) -> str:
-        if self._auto_materialize:
-            have_rpl = have_erpl = True
-        else:
-            have_rpl = not self.missing_segments(translated, ("rpl",))
-            have_erpl = not self.missing_segments(translated, ("erpl",))
-        if k is not None and k <= 10 and have_rpl:
-            return "ta"
-        distinct_terms = {term for clause in translated.source.clauses
-                          for term in clause.terms}
-        if k is not None and k > 10 and len(distinct_terms) >= 2 and have_erpl:
-            # Mirror of TrexEngine.choose_method: many moderately-
-            # selective terms at a large finite k is DAAT territory, and
-            # distributed WAND additionally feeds the global k-th floor
-            # into each shard's pivot bound.
-            return "wand"
-        if have_erpl:
-            return "merge"
-        if have_rpl:
-            return "ta"
-        return "era"
-
     def missing_segments(self, translated: ShardedTranslation,
                          kinds: tuple[str, ...] = ("rpl", "erpl"), *,
                          mode: str = "nexi"
